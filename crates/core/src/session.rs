@@ -27,7 +27,7 @@ use mockingbird_stype::json::Json;
 use mockingbird_stype::lower::{LowerError, Lowerer};
 use mockingbird_stype::project::{Project, ProjectError};
 use mockingbird_stype::script::{apply_script, ScriptError};
-use mockingbird_wire::{ProgramCache, ProgramStats, WireProgram};
+use mockingbird_wire::{ProgramCache, ProgramStats};
 
 use crate::batch::{BatchCompiler, BatchOptions, NamedBatchReport};
 
@@ -44,10 +44,12 @@ pub struct ArtifactImport {
     pub verdicts: usize,
     /// Fused wire programs restored into the session's [`ProgramCache`].
     pub programs: usize,
-    /// Entries skipped because their rules fingerprint does not match
-    /// this session's rule set: they were compiled under different
-    /// comparison rules and would never be consulted, so loading them
-    /// would only hide the mismatch. Reported, not silently dropped.
+    /// Entries skipped because they could never be consulted, so
+    /// loading them would only hide the mismatch: records whose rules
+    /// fingerprint does not match this session's rule set, and program
+    /// records the codec rejects (written by another codec version —
+    /// such as every program keyed under the older display-string
+    /// fingerprint — or corrupt). Reported, not silently dropped.
     pub stale: usize,
 }
 
@@ -536,19 +538,22 @@ impl Session {
 
     /// Warms this session from `store`: verdicts into the compile cache,
     /// wire programs into the fused-program cache. Records whose rules
-    /// fingerprint differs from this session's rule set are *skipped and
-    /// counted* — see [`ArtifactImport::stale`].
+    /// fingerprint differs from this session's rule set, and program
+    /// bodies the codec rejects, are *skipped and counted* — see
+    /// [`ArtifactImport::stale`].
     pub fn import_artifacts(&self, store: &dyn ArtifactStore) -> ArtifactImport {
         let want = self.rules.fingerprint();
         let filtered = CurrentRules { inner: store, want };
+        let (programs, rejected) = self.programs.load_from(&filtered);
         ArtifactImport {
             verdicts: self.cache.load_from(&filtered),
-            programs: self.programs.load_from(&filtered),
-            stale: store
-                .keys()
-                .iter()
-                .filter(|(k, _)| k.rules_fp != want)
-                .count(),
+            programs,
+            stale: rejected
+                + store
+                    .keys()
+                    .iter()
+                    .filter(|(k, _)| k.rules_fp != want)
+                    .count(),
         }
     }
 
@@ -751,6 +756,8 @@ fn decode_cache(section: &Json, store: &dyn ArtifactStore) {
 /// Keys follow the `compile_cache` hex convention; program bodies are
 /// the portable [`WireProgram::to_bytes`] image, hex-encoded so the
 /// section stays valid JSON.
+///
+/// [`WireProgram::to_bytes`]: mockingbird_wire::WireProgram::to_bytes
 fn encode_programs(store: &dyn ArtifactStore) -> Option<Json> {
     let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
     let mut programs: Vec<Json> = Vec::new();
@@ -776,10 +783,10 @@ fn encode_programs(store: &dyn ArtifactStore) -> Option<Json> {
 }
 
 /// Decodes a `wire_programs` section into `store`. Entries whose key
-/// fields do not parse or whose program image fails
-/// [`WireProgram::from_bytes`] validation are skipped, like malformed
-/// verdicts: a stale or corrupted program must never reach the data
-/// plane.
+/// fields or hex do not parse are skipped, like malformed verdicts.
+/// Program images are validated by [`Session::import_artifacts`], the
+/// integrity boundary, which counts the ones it rejects as stale: a
+/// stale or corrupted program must never reach the data plane.
 fn decode_programs(section: &Json, store: &dyn ArtifactStore) {
     let unhex = |s: &str| -> Option<Vec<u8>> {
         if !s.len().is_multiple_of(2) {
@@ -811,9 +818,6 @@ fn decode_programs(section: &Json, store: &dyn ArtifactStore) {
                     .and_then(|s| u64::from_str_radix(s, 16).ok())?,
             };
             let bytes = unhex(item.get("bytes")?.as_str().ok()?)?;
-            // Validate before storing: the codec is the integrity
-            // boundary for program bodies.
-            WireProgram::from_bytes(&bytes).ok()?;
             Some((key, bytes))
         })();
         if let Some((key, bytes)) = parsed {
@@ -1087,6 +1091,51 @@ annotate JavaIdeal.method(fitter).ret non-null";
         assert_eq!(stats.stale, 0);
         assert_eq!(s.compile_cache().len(), 1);
         assert_eq!(s.wire_programs().len(), 1);
+    }
+
+    #[test]
+    fn programs_keyed_under_the_display_hash_load_as_stale() {
+        // Program records written under the older display-string key
+        // carry codec version 2. No lookup can produce their keys any
+        // more, so both import seams skip and count them rather than
+        // report them restored.
+        let mut warm = fitter_session();
+        warm.batch_compile(&[("JavaIdeal", "fitter")], &BatchOptions::default())
+            .unwrap();
+        let exported = warm.wire_programs().export();
+        let (key, prog) = &exported[0];
+        let mut old_body = prog.to_bytes();
+        old_body[0] = 2;
+
+        let store = MemoryStore::new();
+        store.put(key.store_key(ArtifactKind::WireProgram), &old_body);
+        let s = Session::new();
+        let stats = s.import_artifacts(&store);
+        assert_eq!(stats.programs, 0, "{stats:?}");
+        assert!(stats.stale >= 1, "{stats:?}");
+        assert!(s.wire_programs().is_empty());
+
+        let hex = old_body
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect::<String>();
+        let section = Json::obj([(
+            "programs",
+            Json::Array(vec![Json::obj([
+                ("l", Json::str(format!("{:032x}", key.left_fp))),
+                ("r", Json::str(format!("{:032x}", key.right_fp))),
+                ("rules", Json::str(format!("{:016x}", key.rules_fp))),
+                ("sub", Json::Bool(false)),
+                ("bytes", Json::str(hex)),
+            ])]),
+        )]);
+        let mut p = Project::new("old-keys", Universe::new());
+        p.extra.insert(PROGRAM_SECTION.to_string(), section);
+        let mut s = Session::new();
+        let stats = s.absorb_project(p).unwrap();
+        assert_eq!(stats.programs, 0, "{stats:?}");
+        assert!(stats.stale >= 1, "{stats:?}");
+        assert!(s.wire_programs().is_empty());
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! of marshalling is faithful (DESIGN.md §2).
 
 pub mod cdr;
+#[cfg(test)]
+mod fingerprint_tests;
 pub mod giop;
 pub mod mbp;
 pub mod native;

@@ -2118,19 +2118,96 @@ impl WireProgram {
 // ---------------------------------------------------------------------
 
 /// A *nominal* fingerprint of the Mtype rooted at `id`: an FNV-128 hash
-/// of the deterministic nominal rendering. Unlike the canonizer's
-/// equivalence-class fingerprints (which are invariant under record
-/// reordering and regrouping), this distinguishes layouts: a wire
-/// program bakes nominal field paths and permutations in, so two types
-/// that are merely *equivalent* must not share a cache slot.
+/// of the rooted, ordered, labelled graph reachable from
+/// [`graph.resolve(id)`](MtypeGraph::resolve).
+///
+/// One iterative pre-order walk numbers each node on its first visit
+/// and hashes its kind tag, its scalar parameter (range, repertoire or
+/// precision), its child count and then its children in order; a node
+/// met again contributes only `@n`, its number. Each entry opens with
+/// its own tag byte and carries its own lengths, so distinct graphs
+/// feed FNV distinct byte streams. The walk is linear in the reachable
+/// graph and renders no string: a shared or mutually recursive
+/// reference costs one back-reference, not an unfolding. `Recursive`
+/// binders are hashed as nodes, so binder placement moves the key just
+/// as it moves the layout (an unrolled list is not the canonical
+/// `Rec X. Choice(Unit, Record(E, X))`).
+/// Arena ids and provenance labels never reach the hash, so the same
+/// declarations lowered into two graphs get the same key, and two types
+/// with equal keys render equal under [`MtypeGraph::display`].
+///
+/// Unlike the canonizer's equivalence-class fingerprints (which are
+/// invariant under record reordering and regrouping), this distinguishes
+/// layouts: a wire program bakes nominal field paths and permutations
+/// in, so two types that are merely *equivalent* must not share a cache
+/// slot.
 #[must_use]
 pub fn nominal_fingerprint(graph: &MtypeGraph, id: MtypeId) -> u128 {
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    for b in graph.display(graph.resolve(id)).to_string().bytes() {
-        h ^= b as u128;
-        h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
+    let mut h = Fnv128::new();
+    let mut numbers: HashMap<MtypeId, u32> = HashMap::new();
+    let mut stack = vec![graph.resolve(id)];
+    while let Some(id) = stack.pop() {
+        if let Some(&n) = numbers.get(&id) {
+            h.write(b"@");
+            h.write(&n.to_le_bytes());
+            continue;
+        }
+        numbers.insert(id, numbers.len() as u32);
+        let kind = graph.kind(id);
+        match kind {
+            MtypeKind::Integer(r) => {
+                h.write(b"I");
+                h.write(&r.lo.to_le_bytes());
+                h.write(&r.hi.to_le_bytes());
+            }
+            MtypeKind::Character(rep) => {
+                h.write(b"C");
+                match rep {
+                    Repertoire::Ascii => h.write(b"a"),
+                    Repertoire::Latin1 => h.write(b"l"),
+                    Repertoire::Unicode => h.write(b"u"),
+                    Repertoire::Custom(name) => {
+                        h.write(b"c");
+                        h.write(&(name.len() as u32).to_le_bytes());
+                        h.write(name.as_bytes());
+                    }
+                }
+            }
+            MtypeKind::Real(p) => {
+                h.write(b"R");
+                h.write(&p.mantissa_bits.to_le_bytes());
+                h.write(&p.exponent_bits.to_le_bytes());
+            }
+            MtypeKind::Unit => h.write(b"U"),
+            MtypeKind::Dynamic => h.write(b"D"),
+            MtypeKind::Record(_) => h.write(b"{"),
+            MtypeKind::Choice(_) => h.write(b"|"),
+            MtypeKind::Recursive(_) => h.write(b"#"),
+            MtypeKind::Port(_) => h.write(b"P"),
+        }
+        let children = kind.children();
+        h.write(&(children.len() as u32).to_le_bytes());
+        stack.extend(children.iter().rev());
     }
-    h
+    h.0
+}
+
+/// FNV-1a over 128 bits, fed byte by byte.
+pub(crate) struct Fnv128(pub(crate) u128);
+
+impl Fnv128 {
+    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+
+    pub(crate) fn new() -> Self {
+        Fnv128(Self::OFFSET)
+    }
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u128::from(b)).wrapping_mul(Self::PRIME);
+        }
+    }
 }
 
 /// Program-cache counters (relaxed; reporting only).
@@ -2315,9 +2392,12 @@ impl ProgramCache {
     /// Absorbs every [`ArtifactKind::WireProgram`] record from `store`.
     /// Bodies that fail [`WireProgram::from_bytes`] validation are skipped
     /// (the codec is the integrity boundary: a corrupt program is never
-    /// served). Returns how many programs were absorbed.
-    pub fn load_from(&self, store: &dyn ArtifactStore) -> usize {
-        let mut n = 0usize;
+    /// served) and counted. Returns `(absorbed, rejected)`. A rejected
+    /// body is corrupt or was written by another codec version —
+    /// including every record keyed under an earlier fingerprint scheme,
+    /// whose keys no lookup can produce any more.
+    pub fn load_from(&self, store: &dyn ArtifactStore) -> (usize, usize) {
+        let (mut absorbed, mut rejected) = (0usize, 0usize);
         for (skey, id) in store.keys() {
             if skey.kind != ArtifactKind::WireProgram {
                 continue;
@@ -2326,12 +2406,13 @@ impl ProgramCache {
                 continue;
             };
             let Ok(program) = WireProgram::from_bytes(&body) else {
+                rejected += 1;
                 continue;
             };
             self.insert(CacheKey::from_store_key(&skey), Arc::new(program));
-            n += 1;
+            absorbed += 1;
         }
-        n
+        (absorbed, rejected)
     }
 }
 
@@ -2339,7 +2420,10 @@ impl ProgramCache {
 // Byte codec (project-file persistence)
 // ---------------------------------------------------------------------
 
-const CODEC_VERSION: u8 = 2;
+/// Version 3 marks programs stored under the linear-time graph key of
+/// [`nominal_fingerprint`]; version-2 records carry keys of the older
+/// display-string hash and are rejected as stale.
+const CODEC_VERSION: u8 = 3;
 
 /// Maximum number of scopes in a program's node table (compile-time
 /// budget and deserialisation bound alike).
