@@ -13,7 +13,6 @@ use std::sync::Arc;
 use mockingbird::corpus::collab::{collaboration, MESSAGE_TYPES};
 use mockingbird::corpus::sample_value;
 use mockingbird::mtype::{IntRange, MtypeGraph};
-use mockingbird::runtime::transport::TcpConnection;
 use mockingbird::runtime::{
     Connection, ConnectionPool, Dispatcher, InMemoryConnection, MultiplexedConnection, RemoteRef,
     RuntimeError, Servant, TcpServer, WireOp, WireServant,
@@ -99,15 +98,12 @@ fn bench_burst(c: &mut Criterion) {
 }
 
 /// E3b: concurrent echo throughput over real TCP — 8 client threads
-/// sharing (a) one serial connection (the stream lock held across each
-/// exchange), (b) one multiplexed connection (pipelined requests, one
-/// demultiplexing reader), (c) a pool of 4 multiplexed connections.
+/// sharing (a) one multiplexed connection (pipelined requests, one
+/// demultiplexing reader), (b) a pool of 4 multiplexed connections.
 ///
 /// The servant models a service with per-call latency (database hit,
-/// downstream RPC): each echo sleeps `SERVICE_DELAY` before replying.
-/// The serial connection holds its stream lock across the full
-/// exchange, so the 8 threads serialise on that latency; the
-/// multiplexed paths keep several requests in flight and overlap it.
+/// downstream RPC): each echo sleeps `SERVICE_DELAY` before replying,
+/// and both paths keep several requests in flight to overlap it.
 fn bench_concurrent_echo(c: &mut Criterion) {
     const THREADS: usize = 8;
     const CALLS_PER_THREAD: usize = 10;
@@ -160,14 +156,6 @@ fn bench_concurrent_echo(c: &mut Criterion) {
     group.throughput(Throughput::Elements((THREADS * CALLS_PER_THREAD) as u64));
     group.sample_size(10);
 
-    {
-        let (mut server, op) = echo_server();
-        let conn = Arc::new(TcpConnection::connect(server.addr()).unwrap());
-        let remote = remote_over(conn, &op);
-        group.bench_function("serial", |b| b.iter(|| run_threads(black_box(&remote))));
-        drop(remote);
-        server.shutdown();
-    }
     {
         let (mut server, op) = echo_server();
         let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());

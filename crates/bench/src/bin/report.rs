@@ -410,19 +410,17 @@ fn x3() {
 }
 
 fn x4() {
-    use mockingbird::runtime::transport::TcpConnection;
     use mockingbird::runtime::{
         Connection, ConnectionPool, Dispatcher, MetricsSnapshot, MultiplexedConnection, RemoteRef,
         RuntimeError, Servant, TcpServer, WireOp, WireServant,
     };
 
-    println!("== X4: concurrent runtime — serial vs multiplexed TCP ==");
+    println!("== X4: concurrent runtime — multiplexed and pooled TCP ==");
     const THREADS: usize = 8;
     const CALLS_PER_THREAD: usize = 100;
     // The servant models a service with per-call latency (database hit,
-    // downstream RPC). The serial client holds its stream lock across
-    // the full exchange, so threads serialise on that latency; the
-    // multiplexed paths keep requests in flight and overlap it.
+    // downstream RPC); the multiplexed paths keep requests in flight and
+    // overlap it, up to the server's 4 dispatch workers.
     const SERVICE_DELAY: std::time::Duration = std::time::Duration::from_micros(500);
 
     let mut g = MtypeGraph::new();
@@ -477,13 +475,6 @@ fn x4() {
     let mut snaps: Vec<MetricsSnapshot> = Vec::new();
     {
         let mut server = make_server();
-        let (secs, snap) = run(Arc::new(TcpConnection::connect(server.addr()).unwrap()));
-        rows.push(("serial (1 socket, lock per call)", secs));
-        snaps.push(snap);
-        server.shutdown();
-    }
-    {
-        let mut server = make_server();
         let (secs, snap) = run(Arc::new(
             MultiplexedConnection::connect(server.addr()).unwrap(),
         ));
@@ -498,17 +489,9 @@ fn x4() {
         snaps.push(snap);
         server.shutdown();
     }
-    let serial = rows[0].1;
-    println!(
-        "{:<36} {:>10} {:>12} {:>9}",
-        "transport", "total (s)", "calls/s", "speedup"
-    );
+    println!("{:<36} {:>10} {:>12}", "transport", "total (s)", "calls/s");
     for (label, secs) in &rows {
-        println!(
-            "{label:<36} {secs:>10.3} {:>12.0} {:>8.2}x",
-            calls / secs,
-            serial / secs
-        );
+        println!("{label:<36} {secs:>10.3} {:>12.0}", calls / secs);
     }
     let snap = snaps.iter().fold(MetricsSnapshot::default(), |mut acc, s| {
         acc.requests += s.requests;
@@ -1931,10 +1914,10 @@ fn x11() {
 }
 
 fn x12() {
-    use mockingbird::runtime::transport::TcpConnection;
     use mockingbird::runtime::{
-        CallOptions, ChaosConnection, Connection, ConnectionPool, Connector, Dispatcher, RemoteRef,
-        RetryBudget, RetryPolicy, Servant, ServerConfig, TcpServer, WireOp, WireServant,
+        CallOptions, ChaosConnection, Connection, ConnectionPool, Connector, Dispatcher,
+        MultiplexedConnection, RemoteRef, RetryBudget, RetryPolicy, Servant, ServerConfig,
+        TcpServer, WireOp, WireServant,
     };
     use mockingbird::stype::json::Json;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -2020,7 +2003,7 @@ fn x12() {
         let connector: Connector = Arc::new(move |a| {
             let n = dials.fetch_add(1, Ordering::SeqCst);
             Ok(Arc::new(ChaosConnection::with_fault_rate(
-                Arc::new(TcpConnection::connect(a)?),
+                Arc::new(MultiplexedConnection::connect(a)?),
                 seed + n,
                 FAULT_RATE,
             )) as Arc<dyn Connection>)

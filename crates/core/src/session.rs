@@ -919,11 +919,19 @@ annotate JavaIdeal.method(fitter).ret non-null";
         assert_eq!(line.len(), 1, "Java returns a single Line");
     }
 
+    /// This process's scratch directory: two concurrent `cargo test`
+    /// runs never share project files.
+    fn scratch_dir() -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("mockingbird-session-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn project_round_trip_preserves_annotations() {
         let s = fitter_session();
-        let dir = std::env::temp_dir().join("mockingbird-session-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("fitter.mbproj.json");
         s.save_project("fitter", &path).unwrap();
         let mut restored = Session::load_project(&path).unwrap();
@@ -988,8 +996,7 @@ annotate JavaIdeal.method(fitter).ret non-null";
         s.compare("JavaIdeal", "fitter", Mode::Equivalence).unwrap();
         assert!(!s.compile_cache().is_empty());
 
-        let dir = std::env::temp_dir().join("mockingbird-session-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("fitter-warm.mbproj.json");
         s.save_project("fitter", &path).unwrap();
 
@@ -1015,8 +1022,7 @@ annotate JavaIdeal.method(fitter).ret non-null";
         assert_eq!(s.wire_programs().len(), 1, "batch compiled one program");
         assert_eq!(s.program_stats().compiles, 1);
 
-        let dir = std::env::temp_dir().join("mockingbird-session-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("fitter-programs.mbproj.json");
         s.save_project("fitter", &path).unwrap();
 
@@ -1150,8 +1156,7 @@ annotate JavaIdeal.method(fitter).ret non-null";
         let _ = reduced.compare("Point", "Point", Mode::Equivalence);
         assert!(!reduced.compile_cache().is_empty());
 
-        let dir = std::env::temp_dir().join("mockingbird-session-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("fitter-stale.mbproj.json");
         reduced.save_project("stale", &path).unwrap();
 

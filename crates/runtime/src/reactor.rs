@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use mockingbird_values::Endian;
 use mockingbird_wire::{
-    CdrWriter, HandshakeInfo, HandshakeVerdict, Message, MessageKind, ReplyStatus,
+    stamp_budget, CdrWriter, HandshakeInfo, HandshakeVerdict, Message, MessageKind, ReplyStatus,
 };
 
 use crate::dispatch::deadline_expired_reply;
@@ -557,11 +557,16 @@ pub(crate) enum Command {
     /// Adopt an accepted server-side stream (server reactors only).
     RegisterServer { stream: TcpStream },
     /// Queue one encoded request frame on a client connection,
-    /// optionally arming a deadline for its request id.
+    /// optionally arming a deadline for its request id. `budget` is the
+    /// frame's deadline-budget offset and the instant that budget runs
+    /// out: the budget is re-stamped as the frame is queued for the
+    /// socket, so the hand-off to this thread is not granted to the
+    /// server.
     Submit {
         conn: u64,
         frame: Vec<u8>,
         deadline: Option<(u32, Instant)>,
+        budget: Option<(usize, Instant)>,
     },
     /// Queue one encoded reply frame on a server connection.
     Reply { conn: u64, frame: Vec<u8> },
@@ -797,12 +802,20 @@ impl Reactor {
             }
             Command::Submit {
                 conn,
-                frame,
+                mut frame,
                 deadline,
+                budget,
             } => {
                 if let Some(c) = self.conns.get_mut(&conn) {
                     if let Some((request_id, at)) = deadline {
                         self.wheel.insert(conn, request_id, at);
+                    }
+                    if let Some((offset, runs_out)) = budget {
+                        stamp_budget(
+                            &mut frame,
+                            offset,
+                            runs_out.saturating_duration_since(Instant::now()),
+                        );
                     }
                     c.writer.enqueue(frame);
                     c.idle_sweeps = 0;

@@ -1,12 +1,10 @@
 //! Connections carrying framed messages.
 //!
-//! Three client transports implement [`Connection`]:
+//! Two client transports implement [`Connection`], one per medium:
 //!
 //! - [`InMemoryConnection`] — frames and marshals like a network
 //!   transport but dispatches synchronously (marshalling cost without
 //!   socket noise);
-//! - [`TcpConnection`] — a serial socket: one in-flight request at a
-//!   time, the stream lock held across the write/read exchange;
 //! - [`MultiplexedConnection`] — a shared socket driven by the
 //!   process-wide [`reactor`](crate::reactor): writers queue frames on
 //!   the reactor's per-connection write state machine, the reactor
@@ -14,11 +12,10 @@
 //!   id and unparks exactly the waiting thread, so N threads pipeline
 //!   calls over one connection without a reader thread per socket.
 //!
-//! Per-call deadlines arrive via [`CallOptions`]: the serial transport
-//! maps them onto socket read timeouts scoped to the call, the
-//! multiplexed transport onto reactor deadline-wheel entries — per-call
-//! state, never a mutation of the shared socket, so concurrent calls
-//! cannot observe each other's timeouts.
+//! Per-call deadlines arrive via [`CallOptions`] and become reactor
+//! deadline-wheel entries — per-call state, never a mutation of the
+//! shared socket, so concurrent calls cannot observe each other's
+//! timeouts.
 //!
 //! [`TcpServer`] defaults to the same reactor architecture: an
 //! acceptor thread registers sockets with a per-server reactor, frames
@@ -38,7 +35,6 @@ use std::time::{Duration, Instant};
 use mockingbird_values::Endian;
 use mockingbird_wire::{
     CdrWriter, HandshakeInfo, HandshakeVerdict, Message, MessageKind, ReplyStatus, RequestIds,
-    WireDeadline,
 };
 
 use mockingbird_artifact::ArtifactStore;
@@ -233,8 +229,8 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// pin a reader that is polling with a short timeout.
 const MID_FRAME_PATIENCE: u32 = 40;
 
-/// Reads one frame from a blocking stream (serial transport, handshake,
-/// and the thread-per-connection server baseline; the reactor paths use
+/// Reads one frame from a blocking stream (the client handshake and the
+/// thread-per-connection server baseline; the reactor paths use
 /// [`crate::reactor::FrameReader`] instead).
 pub(crate) fn read_frame(
     stream: &mut TcpStream,
@@ -306,17 +302,6 @@ pub(crate) fn write_frame(
     msg: &Message,
     metrics: &MetricsRegistry,
 ) -> Result<(), RuntimeError> {
-    write_frame_restamped(stream, msg, None, metrics)
-}
-
-/// [`write_frame`] with the deadline slot re-stamped at encode time
-/// (see [`Message::write_to_restamped`]).
-fn write_frame_restamped(
-    stream: &mut TcpStream,
-    msg: &Message,
-    restamp: Option<WireDeadline>,
-    metrics: &MetricsRegistry,
-) -> Result<(), RuntimeError> {
     // The preamble+header go into a per-thread scratch buffer and the
     // body is written from its own storage (vectored), so no thread
     // allocates frame memory after its first send.
@@ -325,177 +310,11 @@ fn write_frame_restamped(
     }
     SCRATCH.with(|s| {
         let mut scratch = s.borrow_mut();
-        msg.write_to_restamped(stream, &mut scratch, restamp)
+        msg.write_to(stream, &mut scratch)
             .map_err(|e| RuntimeError::Transport(e.to_string()))?;
         metrics.add_bytes_sent((scratch.len() + msg.body.len()) as u64);
         Ok(())
     })
-}
-
-/// A serial TCP client connection: one in-flight request at a time, the
-/// stream lock held across the whole exchange (the GIOP request id
-/// correlates replies).
-pub struct TcpConnection {
-    stream: Mutex<TcpStream>,
-    fused: bool,
-    metrics: Arc<MetricsRegistry>,
-}
-
-impl TcpConnection {
-    /// Connects to a [`TcpServer`] without a handshake (the peers trust
-    /// each other's declarations — in-process tests, mostly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Transport`] if the connect fails.
-    pub fn connect(addr: SocketAddr) -> Result<Self, RuntimeError> {
-        Self::connect_with(addr, None)
-    }
-
-    /// Connects to a [`TcpServer`], performing the fingerprint handshake
-    /// when `handshake` is given. Records into a fresh registry; use
-    /// [`connect_with_metrics`](Self::connect_with_metrics) to share one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Transport`] if the connect fails and
-    /// [`RuntimeError::VersionSkew`] if the peer's declarations do not
-    /// match ours.
-    pub fn connect_with(
-        addr: SocketAddr,
-        handshake: Option<&HandshakeInfo>,
-    ) -> Result<Self, RuntimeError> {
-        Self::connect_with_metrics(addr, handshake, MetricsRegistry::shared())
-    }
-
-    /// Connects, recording transport counters into `metrics`.
-    ///
-    /// # Errors
-    ///
-    /// As [`connect_with`](Self::connect_with).
-    pub fn connect_with_metrics(
-        addr: SocketAddr,
-        handshake: Option<&HandshakeInfo>,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Result<Self, RuntimeError> {
-        let mut stream =
-            TcpStream::connect(addr).map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        stream.set_nodelay(true).ok();
-        let fused = match handshake {
-            Some(info) => client_handshake(&mut stream, info, &metrics)?,
-            None => true,
-        };
-        Ok(TcpConnection {
-            stream: Mutex::new(stream),
-            fused,
-            metrics,
-        })
-    }
-}
-
-/// Stale replies (left over from calls a previous exchange abandoned on
-/// timeout) a serial connection will skip before giving up on finding
-/// its own.
-const STALE_REPLY_PATIENCE: u32 = 32;
-
-impl Connection for TcpConnection {
-    fn call(&self, msg: &Message) -> Result<Option<Message>, RuntimeError> {
-        self.call_with(msg, &CallOptions::default())
-    }
-
-    fn call_with(
-        &self,
-        msg: &Message,
-        options: &CallOptions,
-    ) -> Result<Option<Message>, RuntimeError> {
-        let queued_at = Instant::now();
-        let mut stream = self.stream.plock();
-        // Time spent waiting for the shared stream (another caller's
-        // exchange, an injected delay upstream) already came out of the
-        // caller's budget; re-stamp the deadline slot at the actual
-        // send instant so the server's view of the remaining time never
-        // drifts past the caller's. A budget that died in the wait is
-        // refused here without wasting the server's time at all.
-        let restamp = match msg.deadline.and_then(|d| d.budget()) {
-            Some(budget) => {
-                let remaining = budget.saturating_sub(queued_at.elapsed());
-                if remaining.is_zero() {
-                    return Err(RuntimeError::DeadlineExpired(
-                        "budget spent waiting for the connection".into(),
-                    ));
-                }
-                Some(WireDeadline::new(
-                    remaining,
-                    msg.deadline.is_some_and(|d| d.sheddable),
-                ))
-            }
-            None => None,
-        };
-        write_frame_restamped(&mut stream, msg, restamp, &self.metrics)?;
-        let MessageKind::Request {
-            request_id: caller_id,
-            response_expected,
-            ..
-        } = msg.kind
-        else {
-            return Ok(None);
-        };
-        if !response_expected {
-            return Ok(None);
-        }
-        // The deadline becomes a socket read timeout scoped to this
-        // exchange. Every call sets its own value (including `None`),
-        // so no call can inherit the previous caller's deadline.
-        stream
-            .set_read_timeout(options.deadline.map(|d| d.max(Duration::from_millis(1))))
-            .ok();
-        let mut stale = 0u32;
-        let outcome = loop {
-            match read_frame(&mut stream, &self.metrics) {
-                Ok(Some(reply)) => {
-                    // A reply whose id does not match this exchange is
-                    // a leftover from a call that timed out earlier on
-                    // this socket: drop it and keep reading, instead of
-                    // handing the wrong payload to this caller.
-                    match reply.kind {
-                        MessageKind::Reply { request_id, .. } if request_id != caller_id => {
-                            stale += 1;
-                            if stale > STALE_REPLY_PATIENCE {
-                                break Err(RuntimeError::Protocol(
-                                    "flooded with unmatched replies".into(),
-                                ));
-                            }
-                        }
-                        _ => break Ok(Some(reply)),
-                    }
-                }
-                other => break other,
-            }
-        };
-        stream.set_read_timeout(None).ok();
-        match outcome {
-            Ok(Some(reply)) => Ok(Some(reply)),
-            Ok(None) => Err(RuntimeError::Transport(
-                "server closed the connection".into(),
-            )),
-            Err(RuntimeError::Timeout(_)) => {
-                self.metrics.add_timeout();
-                Err(RuntimeError::Timeout(format!(
-                    "no reply within {:?}",
-                    options.deadline.unwrap_or_default()
-                )))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn fused_allowed(&self) -> bool {
-        self.fused
-    }
-
-    fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        Some(Arc::clone(&self.metrics))
-    }
 }
 
 /// How long a parked waiter sleeps between slot re-checks when no
@@ -521,7 +340,9 @@ const TIMEOUT_GRACE: Duration = Duration::from_millis(250);
 /// Deadlines are entries on the reactor's deadline wheel — per-call
 /// state, never socket state: one slow call cannot stall the others,
 /// concurrent calls cannot observe each other's timeouts, and a reply
-/// that arrives after its waiter gave up is dropped.
+/// that arrives after its waiter gave up is dropped. A request's
+/// propagated deadline budget is re-stamped when the reactor queues the
+/// frame for the socket, so the hand-off is not granted to the server.
 ///
 /// Connection death is broadcast synchronously: the reactor fails every
 /// registered waiter under the same lock new waiters register under,
@@ -683,11 +504,17 @@ impl Connection for MultiplexedConnection {
             }
         }
 
-        let deadline = options.deadline.map(|d| (wire_id, Instant::now() + d));
+        let now = Instant::now();
+        let deadline = options.deadline.map(|d| (wire_id, now + d));
+        let budget = rewritten
+            .budget_offset()
+            .zip(rewritten.deadline.and_then(|d| d.budget()))
+            .map(|(offset, b)| (offset, now + b));
         if let Err(e) = self.reactor.send(Command::Submit {
             conn: self.conn_id,
             frame,
             deadline,
+            budget,
         }) {
             if response_expected {
                 self.abandon(wire_id);
@@ -1692,7 +1519,7 @@ mod tests {
     fn tcp_connection_round_trip() {
         let (d, graph, args, result) = adder_dispatcher();
         let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         assert_eq!(call_add(&conn, &graph, args, result, 40, 2), 42);
         // Several sequential calls on one connection.
         for k in 0..32 {
@@ -1711,7 +1538,7 @@ mod tests {
             .map(|t| {
                 let g = graph2.clone();
                 std::thread::spawn(move || {
-                    let conn = TcpConnection::connect(addr).unwrap();
+                    let conn = MultiplexedConnection::connect(addr).unwrap();
                     for k in 0..16i64 {
                         assert_eq!(call_add(&conn, &g, args, result, t, k), (t + k) as i128);
                     }
@@ -1794,7 +1621,7 @@ mod tests {
     fn oneway_over_tcp_returns_immediately() {
         let (d, graph, args, _result) = adder_dispatcher();
         let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         let mut w = CdrWriter::new(Endian::Little);
         w.put_value(
             &graph,
@@ -1818,7 +1645,7 @@ mod tests {
     fn shutdown_joins_connection_threads() {
         let (d, graph, args, result) = adder_dispatcher();
         let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         assert_eq!(call_add(&conn, &graph, args, result, 1, 1), 2);
         // The connection is still open; shutdown must not hang on it.
         let start = Instant::now();
@@ -1849,14 +1676,13 @@ mod tests {
             assert_eq!(rogue.read(&mut buf).unwrap_or(0), 0, "server hung up");
         }
         // Well-behaved clients are unaffected.
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         assert_eq!(call_add(&conn, &graph, args, result, 2, 3), 5);
         server.shutdown();
     }
 
     #[test]
     fn connect_to_dead_server_fails() {
-        assert!(TcpConnection::connect("127.0.0.1:1".parse().unwrap()).is_err());
         assert!(MultiplexedConnection::connect("127.0.0.1:1".parse().unwrap()).is_err());
     }
 
@@ -1870,12 +1696,9 @@ mod tests {
             ServerConfig::default().with_handshake(info),
         )
         .unwrap();
-        let conn = TcpConnection::connect_with(server.addr(), Some(&info)).unwrap();
+        let conn = MultiplexedConnection::connect_with(server.addr(), Some(&info)).unwrap();
         assert!(conn.fused_allowed());
         assert_eq!(call_add(&conn, &graph, args, result, 1, 2), 3);
-        let mux = MultiplexedConnection::connect_with(server.addr(), Some(&info)).unwrap();
-        assert!(mux.fused_allowed());
-        assert_eq!(call_add(&mux, &graph, args, result, 2, 2), 4);
         server.shutdown();
     }
 
@@ -1891,16 +1714,12 @@ mod tests {
         .unwrap();
         // A peer compiled against different declarations.
         let skewed = HandshakeInfo::new(mine.interface_fp ^ 0xDEAD_BEEF, 7);
-        let Err(err) = TcpConnection::connect_with(server.addr(), Some(&skewed)) else {
-            panic!("skewed serial connect was accepted")
-        };
-        assert!(matches!(err, RuntimeError::VersionSkew(_)), "got {err}");
         let Err(err) = MultiplexedConnection::connect_with(server.addr(), Some(&skewed)) else {
-            panic!("skewed multiplexed connect was accepted")
+            panic!("skewed connect was accepted")
         };
         assert!(matches!(err, RuntimeError::VersionSkew(_)), "got {err}");
         // Matching peers still connect after the rejections.
-        let conn = TcpConnection::connect_with(server.addr(), Some(&mine)).unwrap();
+        let conn = MultiplexedConnection::connect_with(server.addr(), Some(&mine)).unwrap();
         assert_eq!(call_add(&conn, &graph, args, result, 3, 4), 7);
         server.shutdown();
     }
@@ -1918,7 +1737,7 @@ mod tests {
         // Same declarations, different marshal-rule caches: connect
         // succeeds but fused programs are off.
         let other_rules = HandshakeInfo::new(mine.interface_fp, 8);
-        let conn = TcpConnection::connect_with(server.addr(), Some(&other_rules)).unwrap();
+        let conn = MultiplexedConnection::connect_with(server.addr(), Some(&other_rules)).unwrap();
         assert!(!conn.fused_allowed(), "rules skew disables fused programs");
         assert_eq!(call_add(&conn, &graph, args, result, 5, 6), 11);
         server.shutdown();
@@ -1937,7 +1756,7 @@ mod tests {
             },
         )
         .unwrap();
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         let mut w = CdrWriter::new(Endian::Little);
         w.put_value(
             &graph,
@@ -1968,7 +1787,7 @@ mod tests {
         let addr = server.addr();
         let g2 = graph.clone();
         let client = std::thread::spawn(move || {
-            let conn = TcpConnection::connect(addr).unwrap();
+            let conn = MultiplexedConnection::connect(addr).unwrap();
             let req = echo_request(&g2, rec, b"slow", 1, 9);
             conn.call(&req)
         });
@@ -2031,6 +1850,38 @@ mod tests {
             "the 5 s call did not inherit the 10 ms deadline"
         );
         assert!(conn.is_alive(), "timeouts do not kill the connection");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_after_its_timeout_is_dropped_not_handed_to_the_next_call() {
+        // The first call times out while the servant still works on it;
+        // its reply lands while the next sequential call on the same
+        // connection is parked. Both carry the same caller id, so only
+        // the connection's own correlation can tell the replies apart.
+        let (d, graph, rec) = sleepy_dispatcher(100);
+        let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
+        let opts = CallOptions::new().with_deadline(Duration::from_millis(10));
+        let late = conn.call_with(&echo_request(&graph, rec, b"slow", 1, 6), &opts);
+        assert!(
+            matches!(late, Err(RuntimeError::Timeout(_))),
+            "first call timed out, got {late:?}"
+        );
+        let reply = conn
+            .call(&echo_request(&graph, rec, b"slow", 1, 7))
+            .unwrap()
+            .unwrap();
+        let mut r = CdrReader::new(&reply.body, reply.endian);
+        assert_eq!(
+            r.get_value(&graph, rec).unwrap(),
+            MValue::Record(vec![MValue::Int(7)]),
+            "the next call got its own payload, not the stale reply"
+        );
+        assert!(
+            conn.is_alive(),
+            "a stale reply does not kill the connection"
+        );
         server.shutdown();
     }
 
@@ -2140,7 +1991,7 @@ mod tests {
         // its serving thread finishes and must be reaped by a later
         // accept, not hoarded until shutdown.
         for k in 0..24 {
-            let conn = TcpConnection::connect(server.addr()).unwrap();
+            let conn = MultiplexedConnection::connect(server.addr()).unwrap();
             assert_eq!(call_add(&conn, &graph, args, result, k, 1), (k + 1) as i128);
             drop(conn);
             // Give the per-connection thread a moment to notice EOF.

@@ -733,7 +733,8 @@ mod tests {
 
     #[test]
     fn file_save_load() {
-        let dir = std::env::temp_dir().join("mockingbird-project-test");
+        let dir =
+            std::env::temp_dir().join(format!("mockingbird-project-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("session.mbproj.json");
         let p = Project::new("disk", sample());

@@ -357,6 +357,20 @@ impl Message {
         self
     }
 
+    /// Where this message's deadline budget sits in its encoded frame:
+    /// the offset of the budget's two u32 halves, for a request whose
+    /// deadline slot carries a budget. A transport that holds the
+    /// encoded frame until the bytes leave re-stamps the budget there
+    /// with [`stamp_budget`], so the hand-off time is not granted to
+    /// the server.
+    #[must_use]
+    pub fn budget_offset(&self) -> Option<usize> {
+        self.deadline?.budget_us?;
+        // The deadline slot closes a request header: id, budget, flags.
+        matches!(self.kind, MessageKind::Request { .. })
+            .then(|| 12 + self.header_len() - DEADLINE_SLOT_LEN + 4)
+    }
+
     /// Builds a reply message.
     pub fn reply(request_id: u32, status: ReplyStatus, endian: Endian, body: Vec<u8>) -> Self {
         Message {
@@ -433,15 +447,7 @@ impl Message {
     /// Serialises everything before the body — preamble, kind-specific
     /// header, padding to the 8-aligned body start — into `out`
     /// (cleared first), reserving `reserve` bytes up front.
-    ///
-    /// `restamp` replaces the deadline slot's value at encode time
-    /// (same slot, same size, so no length changes); it is ignored when
-    /// the message frames no deadline slot of its own.
-    fn head_into(&self, out: &mut Vec<u8>, reserve: usize, restamp: Option<WireDeadline>) {
-        let deadline = match (self.deadline, restamp) {
-            (Some(_), Some(r)) => Some(r),
-            (own, _) => own,
-        };
+    fn head_into(&self, out: &mut Vec<u8>, reserve: usize) {
         out.clear();
         out.reserve_exact(reserve);
         let header_padded = self.header_len().div_ceil(8) * 8;
@@ -491,7 +497,7 @@ impl Message {
                     self.put_u32_endian(out, t.span_id as u32);
                     self.put_u32_endian(out, if t.sampled { TRACE_FLAG_SAMPLED } else { 0 });
                 }
-                if let Some(d) = &deadline {
+                if let Some(d) = &self.deadline {
                     let budget = d.budget_us.unwrap_or(DEADLINE_NONE);
                     self.put_u32_endian(out, DEADLINE_CONTEXT_ID);
                     self.put_u32_endian(out, (budget >> 32) as u32);
@@ -541,7 +547,7 @@ impl Message {
     /// size is reserved once, so a warmed buffer never reallocates.
     pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
         let total = 12 + self.header_len().div_ceil(8) * 8 + self.body.len();
-        self.head_into(out, total, None);
+        self.head_into(out, total);
         out.extend_from_slice(&self.body);
         debug_assert_eq!(out.len(), total);
     }
@@ -555,27 +561,7 @@ impl Message {
     /// Returns any I/O error from the sink; a sink that accepts zero
     /// bytes yields `WriteZero`.
     pub fn write_to<W: Write + ?Sized>(&self, w: &mut W, scratch: &mut Vec<u8>) -> io::Result<()> {
-        self.write_to_restamped(w, scratch, None)
-    }
-
-    /// Like [`write_to`](Self::write_to), but replaces the deadline
-    /// slot's value with `restamp` as it encodes (ignored when the
-    /// message frames no deadline slot). Transports use this to deduct
-    /// the time a request spent waiting for a shared connection from
-    /// the propagated budget: the slot is stamped at the *actual* send
-    /// instant, so the server's view of the remaining time never drifts
-    /// past the caller's.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_to`](Self::write_to).
-    pub fn write_to_restamped<W: Write + ?Sized>(
-        &self,
-        w: &mut W,
-        scratch: &mut Vec<u8>,
-        restamp: Option<WireDeadline>,
-    ) -> io::Result<()> {
-        self.head_into(scratch, 12 + self.header_len().div_ceil(8) * 8, restamp);
+        self.head_into(scratch, 12 + self.header_len().div_ceil(8) * 8);
         let head = scratch.len();
         let total = head + self.body.len();
         let mut written = 0usize;
@@ -755,6 +741,27 @@ impl Message {
             )));
         }
         Ok(12 + size)
+    }
+}
+
+/// Overwrites the deadline budget of an encoded frame at `offset` (from
+/// [`Message::budget_offset`]) with `budget`, in the frame's byte order.
+///
+/// # Panics
+///
+/// When `offset` leaves no room for the budget inside `frame`.
+pub fn stamp_budget(frame: &mut [u8], offset: usize, budget: std::time::Duration) {
+    let us = WireDeadline::new(budget, false)
+        .budget_us
+        .unwrap_or_default();
+    let little = frame[6] & FLAG_LITTLE_ENDIAN != 0;
+    for (half, at) in [((us >> 32) as u32, offset), (us as u32, offset + 4)] {
+        let bytes = if little {
+            half.to_le_bytes()
+        } else {
+            half.to_be_bytes()
+        };
+        frame[at..at + 4].copy_from_slice(&bytes);
     }
 }
 
@@ -989,6 +996,17 @@ mod tests {
                     Some(Duration::from_micros(123_456))
                 );
                 assert_eq!(parsed, m);
+                // Re-stamping the encoded frame equals encoding the new
+                // budget.
+                let mut stamped = bytes;
+                stamp_budget(
+                    &mut stamped,
+                    m.budget_offset().unwrap(),
+                    Duration::from_millis(7),
+                );
+                let restamped =
+                    m.with_deadline(WireDeadline::new(Duration::from_millis(7), sheddable));
+                assert_eq!(stamped, restamped.to_bytes());
             }
         }
     }
@@ -1012,6 +1030,10 @@ mod tests {
             assert_eq!(parsed.trace, Some(t));
             assert_eq!(parsed.deadline, Some(d));
             assert_eq!(parsed, m);
+            let mut stamped = bytes;
+            stamp_budget(&mut stamped, m.budget_offset().unwrap(), Duration::ZERO);
+            let restamped = m.with_deadline(WireDeadline::new(Duration::ZERO, true));
+            assert_eq!(stamped, restamped.to_bytes());
         }
     }
 
@@ -1047,6 +1069,7 @@ mod tests {
         let d = parsed.deadline.unwrap();
         assert_eq!(d.budget(), None);
         assert!(d.sheddable);
+        assert_eq!(m.budget_offset(), None, "no budget to re-stamp");
     }
 
     #[test]

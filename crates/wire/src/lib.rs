@@ -37,8 +37,9 @@ pub const MAX_NESTING_DEPTH: usize = 512;
 
 pub use cdr::{CdrError, CdrReader, CdrWriter};
 pub use giop::{
-    GiopError, HandshakeInfo, HandshakeVerdict, Message, MessageKind, ReplyStatus, RequestIds,
-    WireDeadline, DEADLINE_CONTEXT_ID, MAX_FRAME_LEN, PROTOCOL_VERSION, TRACE_CONTEXT_ID,
+    stamp_budget, GiopError, HandshakeInfo, HandshakeVerdict, Message, MessageKind, ReplyStatus,
+    RequestIds, WireDeadline, DEADLINE_CONTEXT_ID, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    TRACE_CONTEXT_ID,
 };
 pub use mockingbird_obs::TraceContext;
 pub use native::{

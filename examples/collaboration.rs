@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mockingbird::corpus::collab::{collaboration, MESSAGE_TYPES};
-use mockingbird::runtime::{Node, RemoteRef, TcpServer, WireOp};
+use mockingbird::runtime::{MultiplexedConnection, Node, RemoteRef, TcpServer, WireOp};
 use mockingbird::stubgen::MessagingStubs;
 use mockingbird::values::{Endian, MValue};
 use mockingbird::Session;
@@ -67,9 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("site B listening on {}", server.addr());
 
     // Site A: sends a burst of updates.
-    let conn = Arc::new(mockingbird::runtime::transport::TcpConnection::connect(
-        server.addr(),
-    )?);
+    let conn = Arc::new(MultiplexedConnection::connect(server.addr())?);
     let remote = RemoteRef::new(conn, b"collab".to_vec(), msg_ops, Endian::Little);
 
     // Message payloads are sampled straight from each message type's

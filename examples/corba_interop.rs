@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mockingbird::baselines::{c_to_java, generate_java};
-use mockingbird::runtime::{RemoteRef, Servant, TcpServer};
+use mockingbird::runtime::{MultiplexedConnection, RemoteRef, Servant, TcpServer};
 use mockingbird::stubgen::RemoteStub;
 use mockingbird::values::{Endian, MValue};
 use mockingbird::{Mode, Session};
@@ -123,9 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Client: JavaIdeal-declared, adapted by the coercion plan.
     let plan = s.compare("JavaIdeal", "fitter", Mode::Equivalence)?;
     let stub = mockingbird::stubgen::FunctionStub::new(Arc::new(plan))?;
-    let conn = Arc::new(mockingbird::runtime::transport::TcpConnection::connect(
-        server.addr(),
-    )?);
+    let conn = Arc::new(MultiplexedConnection::connect(server.addr())?);
     let mut client_ops = HashMap::new();
     client_ops.insert("fitter".to_string(), wire_op);
     let remote = Arc::new(RemoteRef::new(

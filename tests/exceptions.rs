@@ -142,7 +142,7 @@ fn exception_replies_cross_the_wire() {
 #[test]
 fn project_files_preserve_throws() {
     let s = annotated_session();
-    let dir = std::env::temp_dir().join("mockingbird-exc-test");
+    let dir = std::env::temp_dir().join(format!("mockingbird-exc-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("exc.mbproj.json");
     s.save_project("exc", &path).unwrap();

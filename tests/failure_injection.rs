@@ -9,7 +9,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mockingbird::mtype::{IntRange, MtypeGraph};
-use mockingbird::runtime::transport::TcpConnection;
 use mockingbird::runtime::{
     CallOptions, Connection, ConnectionPool, Dispatcher, MultiplexedConnection, RemoteRef,
     RetryPolicy, RuntimeError, Servant, TcpServer, WireOp, WireServant,
@@ -43,7 +42,7 @@ fn garbage_bytes_do_not_kill_the_server() {
         rogue.write_all(b"NOT-A-GIOP-FRAME-AT-ALL").unwrap();
     }
 
-    let conn = TcpConnection::connect(server.addr()).unwrap();
+    let conn = MultiplexedConnection::connect(server.addr()).unwrap();
     let mut ops = HashMap::new();
     ops.insert("echo".to_string(), op);
     let remote = RemoteRef::new(Arc::new(conn), b"obj".to_vec(), ops, Endian::Little);
@@ -58,7 +57,7 @@ fn garbage_bytes_do_not_kill_the_server() {
 fn truncated_frames_are_transport_errors_not_hangs() {
     let (d, op) = adder();
     let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-    let conn = TcpConnection::connect(server.addr()).unwrap();
+    let conn = MultiplexedConnection::connect(server.addr()).unwrap();
     // A frame that lies about its size: the server's read_exact fails and
     // the connection closes; the client's next call errors cleanly.
     let mut fake =
@@ -85,7 +84,7 @@ fn truncated_frames_are_transport_errors_not_hangs() {
 fn calls_after_shutdown_fail_with_transport_errors() {
     let (d, op) = adder();
     let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-    let conn = Arc::new(TcpConnection::connect(server.addr()).unwrap());
+    let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());
     let mut ops = HashMap::new();
     ops.insert("echo".to_string(), op);
     let remote = RemoteRef::new(conn, b"obj".to_vec(), ops, Endian::Little);

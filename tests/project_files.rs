@@ -10,7 +10,7 @@
 use mockingbird::{Mode, Session};
 
 fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("mockingbird-e2e");
+    let dir = std::env::temp_dir().join(format!("mockingbird-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
